@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
+import repro.data.AlarmSchema
 import repro.docstore.AlarmHistory
 import repro.streamlog.{AlarmEvent, AlarmSerializer, EmbeddedLog, LogConsumer}
 
@@ -47,18 +47,7 @@ final class EndToEnd(spark: SparkSession,
     if (events.isEmpty) { consumer.commit(); return BatchTiming(0, 0, 0, 0, 0, 0, 0) }
 
     // Stream part: batch DataFrame + distinct devices in the window.
-    val batchDf = spark.createDataset(events).toDF()
-      .withColumnRenamed("deviceAddr", "device_addr")
-      .withColumnRenamed("zip", "zip")
-      .withColumnRenamed("tsEpoch", "ts_epoch")
-      .withColumnRenamed("dayOfWeek", "day_of_week")
-      .withColumnRenamed("hourOfDay", "hour_of_day")
-      .withColumnRenamed("alarmType", "alarm_type")
-      .withColumnRenamed("propertyType", "property_type")
-      .withColumnRenamed("sensorType", "sensor_type")
-      .withColumnRenamed("swVersion", "sw_version")
-      .withColumnRenamed("durationSec", "duration_sec")
-      .cache()
+    val batchDf = AlarmSchema.eventFrame(spark, events).cache()
     val devices = batchDf.select("device_addr").distinct().as[String].collect()
     val t2 = System.nanoTime()
 

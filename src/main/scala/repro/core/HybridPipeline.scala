@@ -31,6 +31,14 @@ object HybridPipeline {
   final case class CellResult(scenario: String, variant: String,
                               accuracy: Double, nAlarms: Long)
 
+  /** Per-ZIP risk factors plus `n_zips_in_city_marker`, the number of ZIPs of
+    * the ZIP's city that scenarios (c) and (d) select on. */
+  def zipRisk(spark: SparkSession, incidents: DataFrame,
+              cities: Vector[Gazetteer.City]): DataFrame =
+    RiskFactors.compute(spark, incidents, cities)
+      .join(RiskFactors.gazetteerDf(spark, cities)
+        .select(col("zip"), col("n_zips_in_city").as("n_zips_in_city_marker")), Seq("zip"))
+
   /** Per-ZIP bucket features for each risk variant. */
   def riskBuckets(risk: DataFrame): DataFrame = {
     import org.apache.spark.sql.expressions.Window
@@ -62,10 +70,7 @@ object HybridPipeline {
           cities: Vector[Gazetteer.City], mkClassifier: () => AlarmClassifier,
           features: Seq[String], runs: Int = 3, seedBase: Long = 1000): Seq[CellResult] = {
 
-    val risk = RiskFactors.compute(spark, incidents, cities)
-      .join(RiskFactors.gazetteerDf(spark, cities).select("zip", "n_zips_in_city"), Seq("zip"))
-      .withColumnRenamed("n_zips_in_city", "n_zips_in_city_marker")
-    val buckets = riskBuckets(risk).cache()
+    val buckets = riskBuckets(zipRisk(spark, incidents, cities)).cache()
     buckets.count()
 
     for {
@@ -91,19 +96,13 @@ object HybridPipeline {
     }
   }
 
-  /** Render results as the paper's Table 9 layout (rows = variants). */
+  /** Render results as the paper's Table 9 layout (rows = variants, then
+    * each scenario's alarm count). */
   def formatTable(results: Seq[CellResult]): String = {
-    val byCell = results.map(r => (r.scenario, r.variant) -> r).toMap
-    val sb = new StringBuilder
-    sb.append(f"${"variant"}%-10s ${"(a)"}%10s ${"(b)"}%10s ${"(c)"}%10s ${"(d)"}%10s\n")
-    for (v <- Variants) {
-      sb.append(f"$v%-10s")
-      for (s <- Scenarios) sb.append(f" ${byCell((s, v)).accuracy * 100}%9.2f%%")
-      sb.append('\n')
+    val byCell = results.map(r => (r.variant, s"(${r.scenario})") -> r).toMap
+    Reports.formatGrid("variant", Variants :+ "#-alarms", Scenarios.map(s => s"($s)"), "") {
+      case ("#-alarms", s) => byCell(("baseline", s)).nAlarms.toString
+      case (v, s)          => Reports.pct(byCell((v, s)).accuracy)
     }
-    sb.append(f"${"#-alarms"}%-10s")
-    for (s <- Scenarios) sb.append(f" ${byCell((s, "baseline")).nAlarms}%10d")
-    sb.append('\n')
-    sb.toString
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.data.{AlarmSynth, Gazetteer, IncidentSynth}
+import repro.data.{AlarmSchema, AlarmSynth, Gazetteer, IncidentSynth}
 import repro.docstore.{AlarmHistory, DocStore}
 import repro.ml.SparkClassifiers
 import repro.streamlog._
@@ -37,6 +37,26 @@ object Reports {
     case "SF"      => "sf"
   }
 
+  /** The one text grid behind Fig. 9, Fig. 10, Table 8 and Table 9: a header
+    * of `corner`, the column keys and, if given, the `unit`; then one line per
+    * row key with `cell(row, column)` in each column. Every column is as wide
+    * as its widest entry. */
+  def formatGrid(corner: String, rows: Seq[String], cols: Seq[String], unit: String)
+                (cell: (String, String) => String): String = {
+    val body = rows.map(r => r +: cols.map(c => cell(r, c)))
+    val table = (corner +: cols) +: body
+    val widths = table.transpose.map(_.map(_.length).max)
+    def line(entries: Seq[String]): String =
+      (entries.head.padTo(widths.head, ' ') +: entries.tail.zip(widths.tail).map {
+        case (e, w) => " " * (w - e.length) + e
+      }).mkString("  ")
+    val note = if (unit.isEmpty) "" else s"   ($unit)"
+    ((line(table.head) + note) +: body.map(line)).mkString("", "\n", "\n")
+  }
+
+  /** A fraction as a percentage cell. */
+  def pct(frac: Double): String = f"${frac * 100}%.2f%%"
+
   // -------------------------------------------------------------------------
   // Fig. 10 (accuracy per algorithm × dataset) + Table 8 (training time)
   // -------------------------------------------------------------------------
@@ -56,32 +76,18 @@ object Reports {
       AccuracyCell(name, r.algorithm, r.accuracy, r.trainTimeSec)
     }
 
+  private val DatasetOrder = Seq("Sitasys", "LFB", "SF")
+  private val AlgorithmOrder = Seq("RF", "SVM", "LR", "DNN")
+
   def formatAccuracyTable(cells: Seq[AccuracyCell]): String = {
-    val datasetsOrder = Seq("Sitasys", "LFB", "SF")
-    val algos = Seq("RF", "SVM", "LR", "DNN")
-    val byKey = cells.map(c => (c.dataset, c.algorithm) -> c).toMap
-    val sb = new StringBuilder
-    sb.append(f"${"Algorithm"}%-10s ${"Sitasys"}%12s ${"LFB"}%12s ${"SF"}%12s   (accuracy %%)\n")
-    for (a <- algos) {
-      sb.append(f"$a%-10s")
-      for (d <- datasetsOrder) sb.append(f" ${byKey((d, a)).accuracy * 100}%11.2f%%")
-      sb.append('\n')
-    }
-    sb.toString
+    val byKey = cells.map(c => (c.algorithm, c.dataset) -> c.accuracy).toMap
+    formatGrid("Algorithm", AlgorithmOrder, DatasetOrder, "accuracy %")((a, d) => pct(byKey((a, d))))
   }
 
   def formatTrainingTable(cells: Seq[AccuracyCell]): String = {
-    val datasetsOrder = Seq("Sitasys", "LFB", "SF")
-    val algos = Seq("RF", "SVM", "LR", "DNN")
-    val byKey = cells.map(c => (c.dataset, c.algorithm) -> c).toMap
-    val sb = new StringBuilder
-    sb.append(f"${"Algorithm"}%-10s ${"Sitasys"}%12s ${"LFB"}%12s ${"SF"}%12s   (training time [s])\n")
-    for (a <- algos) {
-      sb.append(f"$a%-10s")
-      for (d <- datasetsOrder) sb.append(f" ${byKey((d, a)).trainTimeSec}%12.2f")
-      sb.append('\n')
-    }
-    sb.toString
+    val byKey = cells.map(c => (c.algorithm, c.dataset) -> c.trainTimeSec).toMap
+    formatGrid("Algorithm", AlgorithmOrder, DatasetOrder, "training time [s]")(
+      (a, d) => f"${byKey((a, d))}%.2f")
   }
 
   // -------------------------------------------------------------------------
@@ -107,17 +113,10 @@ object Reports {
   }
 
   def formatDeltaT(cells: Seq[DeltaTCell]): String = {
-    val deltas = cells.map(_.deltaTMin).distinct.sorted
-    val algos = Seq("RF", "SVM", "LR", "DNN")
-    val byKey = cells.map(c => (c.deltaTMin, c.algorithm) -> c.accuracy).toMap
-    val sb = new StringBuilder
-    sb.append(f"${"delta t"}%-10s" + algos.map(a => f"$a%10s").mkString + "   (accuracy %)\n")
-    for (dt <- deltas) {
-      sb.append(f"${dt}%-10.0f")
-      for (a <- algos) sb.append(f"${byKey((dt, a)) * 100}%9.2f%%")
-      sb.append('\n')
-    }
-    sb.toString
+    val label = (dt: Double) => dt.toString.stripSuffix(".0")
+    val byKey = cells.map(c => (label(c.deltaTMin), c.algorithm) -> c.accuracy).toMap
+    formatGrid("delta t", cells.map(_.deltaTMin).distinct.sorted.map(label), AlgorithmOrder,
+      "accuracy %")((dt, a) => pct(byKey((dt, a))))
   }
 
   // -------------------------------------------------------------------------
@@ -213,22 +212,14 @@ object Reports {
     val history = new AlarmHistory(spark, new DocStore(spark))
     history.ingest(labeled)
 
-    val base = labeled.limit(math.min(nStream, labeled.count().toInt)).collect().toIndexedSeq
-    val events = (0 until nStream).map { i =>
-      val r = base(i % base.size)
-      AlarmEvent(i.toLong, r.getAs[String]("device_addr"), r.getAs[String]("zip"),
-        r.getAs[java.sql.Timestamp]("ts").getTime / 1000, r.getAs[Int]("day_of_week"),
-        r.getAs[Int]("hour_of_day"), r.getAs[String]("alarm_type"),
-        r.getAs[String]("property_type"), r.getAs[String]("sensor_type"),
-        r.getAs[String]("sw_version"), r.getAs[Double]("duration_sec"))
-    }
+    val base = AlarmSchema.events(labeled.limit(math.min(nStream, labeled.count().toInt)))
+      .collect().toIndexedSeq
+    val events = (0 until nStream).map(i => base(i % base.size).copy(id = i.toLong))
 
     partitionCounts.map { parts =>
       val log = new EmbeddedLog(parts)
       new LogProducer(log, Serializers.FastJsonSerializer).sendAll(events)
       val e2e = new EndToEnd(spark, log, Serializers.FastJsonSerializer, history, service)
-      // Warm the Spark-side plans once so the measured drain reflects steady
-      // state rather than first-query planning.
       val (timings, rate) = e2e.drain(maxPerPartition = math.max(1, batchSize / parts))
       val total = timings.map(_.totalSec).sum
       EndToEndResult(parts, timings.map(_.nAlarms).sum, rate,

@@ -1,6 +1,9 @@
 package repro.data
 
 import java.sql.Timestamp
+import org.apache.spark.sql.{Column, DataFrame, Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.functions.{col, unix_timestamp}
+import repro.streamlog.AlarmEvent
 
 /** The generic alarm data type of the paper's "design for reusability" lesson
   * (Section 6.1): one schema describes all three datasets — Sitasys, London
@@ -50,6 +53,32 @@ object AlarmSchema {
 
   /** Sitasys-specific extras (sensor information) that push accuracy >90%. */
   val SitasysExtras: Seq[String] = Seq("sensor_type", "sw_version")
+
+  /** Each wire field of [[AlarmEvent]] with its column, in field order: the
+    * one mapping between the camelCase wire record and the snake_case
+    * columns every stage works on. */
+  private val EventColumns: Seq[(String, String)] = Seq(
+    "id" -> "id", "deviceAddr" -> "device_addr", "zip" -> "zip", "tsEpoch" -> "ts_epoch",
+    "dayOfWeek" -> "day_of_week", "hourOfDay" -> "hour_of_day", "alarmType" -> "alarm_type",
+    "propertyType" -> "property_type", "sensorType" -> "sensor_type",
+    "swVersion" -> "sw_version", "durationSec" -> "duration_sec")
+
+  /** The event's fields as snake_case columns; `field` reads one wire field,
+    * e.g. `col` for a frame of events or `col("alarm").getField` for a struct. */
+  def eventColumns(field: String => Column): Seq[Column] =
+    EventColumns.map { case (f, c) => field(f).as(c) }
+
+  /** Wire events as a frame of snake_case columns (the consumer's batch). */
+  def eventFrame(spark: SparkSession, events: Seq[AlarmEvent]): DataFrame =
+    spark.createDataset(events)(Encoders.product[AlarmEvent]).toDF()
+      .select(eventColumns(col): _*)
+
+  /** Labelled alarms (a [[LabeledAlarm]] frame) as wire events; `tsEpoch` is
+    * `ts` in whole seconds. */
+  def events(labelled: DataFrame): Dataset[AlarmEvent] =
+    labelled.withColumn("ts_epoch", unix_timestamp(col("ts")))
+      .select(EventColumns.map { case (f, c) => col(c).as(f) }: _*)
+      .as(Encoders.product[AlarmEvent])
 
   /** Table 1 of the paper: which source field plays which role per dataset. */
   val Table1: Seq[(String, String, String, String, String, String)] = Seq(

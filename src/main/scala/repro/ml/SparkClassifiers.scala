@@ -1,7 +1,7 @@
 package repro.ml
 
 import org.apache.spark.ml.classification.{LinearSVC, LinearSVCModel, LogisticRegression,
-  LogisticRegressionModel, RandomForestClassificationModel, RandomForestClassifier}
+  ProbabilisticClassificationModel, RandomForestClassifier}
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
@@ -24,12 +24,15 @@ object SparkClassifiers {
         .setNumTrees(params.numTrees)
         .setSeed(seed)
         .fit(train)
-      RfModel(m)
+      ProbabilisticModel(name, m)
     }
   }
 
-  final case class RfModel(m: RandomForestClassificationModel) extends AlarmModel {
-    val name = "RF"
+  /** RF and LR: Spark models with a class-probability output, whose
+    * probability of class 1 is the confidence `p_true`. */
+  final case class ProbabilisticModel(name: String,
+                                      m: ProbabilisticClassificationModel[Vector, _])
+      extends AlarmModel {
     def transform(df: DataFrame): DataFrame =
       m.transform(df)
         .withColumn("p_true", pTrueFromProba(col("probability")))
@@ -49,16 +52,8 @@ object SparkClassifiers {
         .setTol(params.tol)
         .setRegParam(regParam)
         .fit(train)
-      LrModel(m)
+      ProbabilisticModel(name, m)
     }
-  }
-
-  final case class LrModel(m: LogisticRegressionModel) extends AlarmModel {
-    val name = "LR"
-    def transform(df: DataFrame): DataFrame =
-      m.transform(df)
-        .withColumn("p_true", pTrueFromProba(col("probability")))
-        .drop("rawPrediction", "probability")
   }
 
   /** Linear SVM (Table 4). The paper used mllib's SVMWithSGD (stepSize /

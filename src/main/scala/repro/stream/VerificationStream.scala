@@ -3,7 +3,8 @@ package repro.stream
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.VerificationService
-import repro.streamlog.{AlarmEvent, AlarmSerializer}
+import repro.data.AlarmSchema
+import repro.streamlog.AlarmSerializer
 
 /** Structured Streaming flavour of the verification pipeline.
   *
@@ -28,18 +29,7 @@ object VerificationStream {
     val risk  = udf((zip: String) => riskByZip.getOrElse(zip, 0.0))
     val parsed = serialized
       .withColumn("alarm", parse(col("value")))
-      .select(
-        col("alarm.id").as("id"),
-        col("alarm.deviceAddr").as("device_addr"),
-        col("alarm.zip").as("zip"),
-        col("alarm.tsEpoch").as("ts_epoch"),
-        col("alarm.dayOfWeek").as("day_of_week"),
-        col("alarm.hourOfDay").as("hour_of_day"),
-        col("alarm.alarmType").as("alarm_type"),
-        col("alarm.propertyType").as("property_type"),
-        col("alarm.sensorType").as("sensor_type"),
-        col("alarm.swVersion").as("sw_version"),
-        col("alarm.durationSec").as("duration_sec"))
+      .select(AlarmSchema.eventColumns(col("alarm").getField): _*)
       .withColumn("a_priori_risk", risk(col("zip")))
     service.verify(parsed)
       .select("id", "device_addr", "zip", "alarm_type", "a_priori_risk",

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures}
-import repro.textlytics.{IncidentPipeline, RiskFactors}
+import repro.textlytics.IncidentPipeline
 
 class HybridPipelineSpec extends SparkSpec {
 
@@ -13,10 +13,8 @@ class HybridPipelineSpec extends SparkSpec {
     val annotated = IncidentPipeline.annotateAll(TestFixtures.incidents._1, TestFixtures.cities)
     spark.createDataset(annotated).toDF().cache()
   }
-  private lazy val risk = RiskFactors.compute(spark, incidentsDf, TestFixtures.cities)
-    .join(RiskFactors.gazetteerDf(spark, TestFixtures.cities).select("zip", "n_zips_in_city"), Seq("zip"))
-    .withColumnRenamed("n_zips_in_city", "n_zips_in_city_marker")
-  private lazy val buckets = HybridPipeline.riskBuckets(risk).cache()
+  private lazy val buckets =
+    HybridPipeline.riskBuckets(HybridPipeline.zipRisk(spark, incidentsDf, TestFixtures.cities)).cache()
 
   test("risk buckets have the expected ranges") {
     val arfB = buckets.select("arf_bucket").distinct().collect().map(_.getString(0).toInt)

@@ -60,18 +60,30 @@ class AlarmHistorySpec extends SparkSpec {
     assert(got == expect)
   }
 
+  private lazy val histInput = history.historyDf.select("device_addr", "ts_epoch")
+  private val fromEpoch = 1443657600L
+
+  /** The histogram of `someDevices` since `fromEpoch`, as DuckDB SQL. */
+  private def oracleSql: String =
+    s"""SELECT device_addr,
+       |       CAST(FLOOR(CAST(ts_epoch AS BIGINT) / 3600) * 3600 AS BIGINT) AS bucket_start,
+       |       COUNT(*) AS n_alarms
+       |FROM history
+       |WHERE device_addr IN (${someDevices.map(d => s"'$d'").mkString(", ")})
+       |  AND CAST(ts_epoch AS BIGINT) >= $fromEpoch
+       |GROUP BY device_addr, bucket_start""".stripMargin
+
   test("histogram matches the DuckDB oracle") {
-    val histInput = history.historyDf.select("device_addr", "ts_epoch")
-    val devList = someDevices.map(d => s"'$d'").mkString(", ")
-    val got = AlarmHistory.histogramOf(histInput, someDevices, 1443657600L, 3600)
-    Oracle.assertEquivalent(got,
-      s"""SELECT device_addr,
-         |       CAST(FLOOR(CAST(ts_epoch AS BIGINT) / 3600) * 3600 AS BIGINT) AS bucket_start,
-         |       COUNT(*) AS n_alarms
-         |FROM history
-         |WHERE device_addr IN ($devList) AND CAST(ts_epoch AS BIGINT) >= 1443657600
-         |GROUP BY device_addr, bucket_start""".stripMargin,
-      "history" -> histInput)
+    val got = AlarmHistory.histogramOf(histInput, someDevices, fromEpoch, 3600)
+    Oracle.assertEquivalent(got, oracleSql, "history" -> histInput)
+  }
+
+  test("oracle catches wrong results") {
+    val wrong = AlarmHistory.histogramOf(histInput, someDevices, fromEpoch, 3600)
+      .withColumn("n_alarms", col("n_alarms") + 1)
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(wrong, oracleSql, "history" -> histInput)
+    }
   }
 
   test("histogram of unknown devices is empty") {
