@@ -1,17 +1,15 @@
 package repro.jobs
 
+import repro.core.Reports
 import repro.data.AlarmSchema
 
 /** Table 1: feature correspondence across the three datasets. */
 object Table1Features {
   def render(): String = {
-    val sb = new StringBuilder
-    sb.append(f"${"Dataset"}%-15s ${"Location"}%-22s ${"Time"}%-17s ${"Type of Location"}%-17s " +
-      f"${"Incident Type"}%-17s ${"Label"}%-22s\n")
-    AlarmSchema.Table1.foreach { case (d, loc, t, tl, it, l) =>
-      sb.append(f"$d%-15s $loc%-22s $t%-17s $tl%-17s $it%-17s $l%-22s\n")
-    }
-    sb.toString
+    val roles = Seq("Location", "Time", "Type of Location", "Incident Type", "Label")
+    val cells = AlarmSchema.Table1.map(t => t._1 -> t.productIterator.drop(1).toSeq).toMap
+    Reports.formatGrid("Dataset", AlarmSchema.Table1.map(_._1), roles, "")(
+      (d, role) => cells(d)(roles.indexOf(role)).toString)
   }
 
   def main(args: Array[String]): Unit = {

@@ -27,15 +27,17 @@ object AlarmPipeline {
     df.withColumn("label",
       when(col("duration_sec") >= lit(deltaTMinutes * 60.0), 1).otherwise(0))
 
-  /** Encoded 50/50 train/test split (Section 5.1.1), encoder fit on train. */
+  /** Encoded 50/50 train/test split (Section 5.1.1), encoder fit on train;
+    * each side holds `features` and the double `label`. */
   final case class Prepared(train: DataFrame, test: DataFrame, encoder: CategoricalEncoder)
 
   def prepare(df: DataFrame, features: Seq[String],
               trainFraction: Double = 0.5, seed: Long = 99): Prepared = {
     val Array(tr, te) = df.randomSplit(Array(trainFraction, 1 - trainFraction), seed)
     val enc = CategoricalEncoder.fit(tr, features)
-    val train = enc.transform(tr).select("feat_idx", "features", "label").cache()
-    val test  = enc.transform(te).select("feat_idx", "features", "label").cache()
+    def encode(d: DataFrame) =
+      enc.transform(d).select(col("features"), col("label").cast("double").as("label")).cache()
+    val (train, test) = (encode(tr), encode(te))
     train.count(); test.count()
     Prepared(train, test, enc)
   }

@@ -37,7 +37,7 @@ object Reports {
     case "SF"      => "sf"
   }
 
-  /** The one text grid behind Fig. 9, Fig. 10, Table 8 and Table 9: a header
+  /** The one text grid behind Table 1, Figs. 9–12, Table 8 and Table 9: a header
     * of `corner`, the column keys and, if given, the `unit`; then one line per
     * row key with `cell(row, column)` in each column. Every column is as wide
     * as its widest entry. */
@@ -187,10 +187,10 @@ object Reports {
   }
 
   def formatSerializer(rs: Seq[SerializerResult]): String = {
-    val sb = new StringBuilder
-    sb.append(f"${"Serializer"}%-28s ${"producer [alarms/s]"}%22s ${"consumer [alarms/s]"}%22s\n")
-    rs.foreach(r => sb.append(f"${r.serializer}%-28s ${r.producerRate}%22.0f ${r.consumerRate}%22.0f\n"))
-    sb.toString
+    val cols = Seq("producer [alarms/s]", "consumer [alarms/s]")
+    val rates = rs.map(r => r.serializer -> Seq(r.producerRate, r.consumerRate)).toMap
+    formatGrid("Serializer", rs.map(_.serializer), cols, "")(
+      (s, c) => f"${rates(s)(cols.indexOf(c))}%.0f")
   }
 
   // -------------------------------------------------------------------------
@@ -229,15 +229,11 @@ object Reports {
   }
 
   def formatEndToEnd(rs: Seq[EndToEndResult]): String = {
-    val sb = new StringBuilder
-    sb.append(f"${"partitions"}%-11s ${"alarms"}%9s ${"alarms/s"}%12s " +
-      f"${"deser%"}%8s ${"stream%"}%8s ${"hist%"}%8s ${"ml%"}%8s\n")
-    rs.foreach { r =>
-      sb.append(f"${r.partitions}%-11d ${r.nAlarms}%9d ${r.throughput}%12.0f " +
-        f"${r.deserializeFrac * 100}%7.1f%% ${r.streamFrac * 100}%7.1f%% " +
-        f"${r.historyFrac * 100}%7.1f%% ${r.mlFrac * 100}%7.1f%%\n")
-    }
-    sb.toString
+    val cols = Seq("alarms", "alarms/s", "deser%", "stream%", "hist%", "ml%")
+    val cells = rs.map(r => r.partitions.toString -> (Seq(r.nAlarms.toString, f"${r.throughput}%.0f") ++
+      Seq(r.deserializeFrac, r.streamFrac, r.historyFrac, r.mlFrac).map(f => f"${f * 100}%.1f%%"))).toMap
+    formatGrid("partitions", rs.map(_.partitions.toString), cols, "")(
+      (p, c) => cells(p)(cols.indexOf(c)))
   }
 
   // -------------------------------------------------------------------------

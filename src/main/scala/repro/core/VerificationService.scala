@@ -16,12 +16,9 @@ final class VerificationService(val encoder: CategoricalEncoder,
                                 val model: AlarmModel,
                                 val threshold: Double = 0.5) extends Serializable {
 
-  /** Score raw alarms: adds `p_true`, `prediction` and the routing decision
-    * `send_to_arc`. */
-  def verify(alarms: DataFrame): DataFrame = {
-    val in = if (alarms.columns.contains("label")) alarms
-             else alarms.withColumn("label", lit(0))
-    model.transform(encoder.transform(in))
+  /** Score raw alarms: adds `features` (encoder), `p_true` and `prediction`
+    * (model) and the routing decision `send_to_arc`. */
+  def verify(alarms: DataFrame): DataFrame =
+    model.transform(encoder.transform(alarms))
       .withColumn("send_to_arc", col("p_true") >= lit(threshold))
-  }
 }

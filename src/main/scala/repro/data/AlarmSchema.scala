@@ -68,9 +68,12 @@ object AlarmSchema {
   def eventColumns(field: String => Column): Seq[Column] =
     EventColumns.map { case (f, c) => field(f).as(c) }
 
-  /** Wire events as a frame of snake_case columns (the consumer's batch). */
+  /** Wire events as a frame of snake_case columns (the consumer's batch).
+    * The frame reads an RDD, not a local relation: over a local relation the
+    * optimizer evaluates every projection on top of it, encoder and model
+    * UDFs included, on the driver in one thread. */
   def eventFrame(spark: SparkSession, events: Seq[AlarmEvent]): DataFrame =
-    spark.createDataset(events)(Encoders.product[AlarmEvent]).toDF()
+    spark.createDataset(spark.sparkContext.parallelize(events))(Encoders.product[AlarmEvent]).toDF()
       .select(eventColumns(col): _*)
 
   /** Labelled alarms (a [[LabeledAlarm]] frame) as wire events; `tsEpoch` is

@@ -4,8 +4,9 @@ import org.apache.spark.sql.DataFrame
 
 /** Unified view over the four algorithms of Section 5.3.
   *
-  * `fit` consumes an encoded DataFrame (columns `features`, `feat_idx`,
-  * `label`); the returned model's `transform` adds:
+  * `fit` consumes an encoded DataFrame (columns `features` and the double
+  * `label`, as [[repro.core.AlarmPipeline.prepare]] emits them); the returned
+  * model's `transform` reads `features` and adds:
   *  - `prediction` (0.0 / 1.0) and
   *  - `p_true` — the confidence that the alarm is true, which the paper
   *    stresses is as important to the ARC operator as the verification
@@ -29,17 +30,5 @@ object Metrics {
       avg(when(col("prediction") === col("label").cast("double"), 1.0).otherwise(0.0))
     ).collect()(0)
     r.getDouble(0)
-  }
-
-  /** (tp, fp, tn, fn) confusion counts, treating 1 = true alarm. */
-  def confusion(scored: DataFrame): (Long, Long, Long, Long) = {
-    import org.apache.spark.sql.functions._
-    val r = scored.agg(
-      sum(when(col("prediction") === 1.0 && col("label") === 1.0, 1L).otherwise(0L)),
-      sum(when(col("prediction") === 1.0 && col("label") === 0.0, 1L).otherwise(0L)),
-      sum(when(col("prediction") === 0.0 && col("label") === 0.0, 1L).otherwise(0L)),
-      sum(when(col("prediction") === 0.0 && col("label") === 1.0, 1L).otherwise(0L))
-    ).collect()(0)
-    (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3))
   }
 }

@@ -1,6 +1,6 @@
 package repro.ml
 
-import org.apache.spark.ml.linalg.Vector
+import org.apache.spark.ml.linalg.SparseVector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import scala.util.Random
@@ -243,11 +243,9 @@ object Mlp {
   final case class DnnClassifier(cfg: Config = Config()) extends AlarmClassifier {
     val name = "DNN"
     def fit(train: DataFrame): AlarmModel = {
-      val dim = train.select("features").head().getAs[Vector](0).size
-      val data = train.select("feat_idx", "label").collect().map { r =>
-        (r.getSeq[Int](0).toArray, r.getDouble(1).toInt)
-      }.toIndexedSeq
-      DnnModel(Mlp.train(data, dim, cfg))
+      val rows = train.select("features", "label").collect()
+      val data = rows.map(r => (r.getAs[SparseVector](0).indices, r.getDouble(1).toInt)).toIndexedSeq
+      DnnModel(Mlp.train(data, rows.head.getAs[SparseVector](0).size, cfg))
     }
   }
 
@@ -255,8 +253,8 @@ object Mlp {
     val name = "DNN"
     def transform(df: DataFrame): DataFrame = {
       val n = net
-      val pU = udf((idx: Seq[Int]) => n.pTrue(idx.toArray))
-      df.withColumn("p_true", pU(col("feat_idx")))
+      val pU = udf((v: SparseVector) => n.pTrue(v.indices))
+      df.withColumn("p_true", pU(col("features")))
         .withColumn("prediction", when(col("p_true") >= 0.5, 1.0).otherwise(0.0))
     }
   }

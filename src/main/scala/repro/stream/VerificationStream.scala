@@ -15,7 +15,7 @@ import repro.streamlog.AlarmSerializer
   * batch frame or a streaming source (MemoryStream in tests):
   *
   *   serialized alarm JSON → deserialize UDF → a-priori-risk annotation UDF
-  *   (text-analytics product) → one-hot encoding UDFs → model scoring →
+  *   (text-analytics product) → one-hot encoding UDF → model scoring →
   *   verification + confidence + ARC routing decision.
   */
 object VerificationStream {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.DoubleType
 import repro.{SparkSpec, TestFixtures}
 import repro.data.AlarmSchema
 
@@ -43,8 +44,10 @@ class AlarmPipelineSpec extends SparkSpec {
   }
 
   test("prepare emits encoded columns only") {
-    assert(prepared.train.columns.toSet == Set("feat_idx", "features", "label"))
-    assert(prepared.test.columns.toSet == Set("feat_idx", "features", "label"))
+    for (side <- Seq(prepared.train, prepared.test)) {
+      assert(side.columns.toSet == Set("features", "label"))
+      assert(side.schema("label").dataType == DoubleType)
+    }
   }
 
   test("the split is deterministic in the seed and disjoint") {

@@ -1,10 +1,23 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, udf}
+import org.apache.spark.util.LongAccumulator
 import repro.{SparkSpec, TestFixtures}
 import repro.data.AlarmSchema
 import repro.docstore.{AlarmHistory, DocStore}
-import repro.ml.SparkClassifiers
+import repro.ml.{AlarmModel, SparkClassifiers}
 import repro.streamlog._
+
+/** `inner`, with `p_true` passed through a UDF that counts its calls. */
+private final class CountingModel(inner: AlarmModel, calls: LongAccumulator) extends AlarmModel {
+  def name: String = inner.name
+  def transform(df: DataFrame): DataFrame = {
+    val c = calls
+    val bump = udf((p: Double) => { c.add(1); p })
+    inner.transform(df).withColumn("p_true", bump(col("p_true")))
+  }
+}
 
 class EndToEndSpec extends SparkSpec {
 
@@ -19,8 +32,9 @@ class EndToEndSpec extends SparkSpec {
     (service, history, events)
   }
 
-  private def mkPipeline(partitions: Int) = {
-    val (service, history, events) = fixture
+  private def mkPipeline(partitions: Int, model: AlarmModel => AlarmModel = identity) = {
+    val (trained, history, events) = fixture
+    val service = new VerificationService(trained.encoder, model(trained.model))
     val log = new EmbeddedLog(partitions)
     val producer = new LogProducer(log, Serializers.FastJsonSerializer)
     val e2e = new EndToEnd(spark, log, Serializers.FastJsonSerializer, history, service)
@@ -32,7 +46,16 @@ class EndToEndSpec extends SparkSpec {
     producer.sendAll(events.take(300))
     val bt = e2e.consumeBatch()
     assert(bt.nAlarms == 300)
-    assert(bt.nDevices > 0 && bt.nDevices <= 300)
+    assert(bt.nDevices == events.take(300).map(_.deviceAddr).distinct.size)
+  }
+
+  test("the ML part runs the model on every alarm it counts") {
+    val calls = spark.sparkContext.longAccumulator("p_true calls")
+    val (_, producer, e2e, events) = mkPipeline(4, new CountingModel(_, calls))
+    producer.sendAll(events.take(300))
+    val bt = e2e.consumeBatch()
+    assert(bt.nAlarms == 300)
+    assert(calls.value == bt.nAlarms)
   }
 
   test("per-component timings are populated (the Fig. 12 breakdown)") {

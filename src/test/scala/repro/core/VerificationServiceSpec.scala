@@ -39,6 +39,7 @@ class VerificationServiceSpec extends SparkSpec {
     val out = service.verify(labeled.drop("label").limit(50))
     assert(out.count() == 50)
     assert(out.where(col("p_true").isNull).count() == 0)
+    assert(!out.columns.contains("label"))
   }
 
   test("verification quality: accuracy on held-out alarms is high") {

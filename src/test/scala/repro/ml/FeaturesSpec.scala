@@ -1,6 +1,7 @@
 package repro.ml
 
 import org.apache.spark.ml.linalg.SparseVector
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 
 class FeaturesSpec extends SparkSpec {
@@ -20,17 +21,26 @@ class FeaturesSpec extends SparkSpec {
     assert(enc.dim == 7)
   }
 
+  /** Each row's active indices, as the `features` vector lists them. */
+  private def active(d: DataFrame, e: CategoricalEncoder): Seq[Seq[Int]] =
+    e.transform(d).select("features").collect().map(_.getAs[SparseVector](0).indices.toSeq).toSeq
+
   test("each row activates exactly one index per column") {
-    val out = enc.transform(df).select("feat_idx").collect()
-    out.foreach(r => assert(r.getSeq[Int](0).size == 2))
+    active(df, enc).foreach(idx => assert(idx.size == 2))
   }
 
   test("indices stay within the feature space and respect column blocks") {
-    val out = enc.transform(df).select("feat_idx").collect()
-    out.foreach { r =>
-      val Seq(zi, ai) = r.getSeq[Int](0).toSeq
+    active(df, enc).foreach { case Seq(zi, ai) =>
       assert(zi >= 0 && zi < 3)
       assert(ai >= 3 && ai < 7)
+    }
+  }
+
+  test("features.indices equals indicesOf of every row, unsorted") {
+    val out = enc.transform(df).select("zip", "alarm_type", "features").collect()
+    out.foreach { r =>
+      assert(r.getAs[SparseVector](2).indices.toSeq ==
+        enc.indicesOf(Seq(r.getString(0), r.getString(1))).toSeq)
     }
   }
 
@@ -61,20 +71,19 @@ class FeaturesSpec extends SparkSpec {
     assert(v.values.forall(_ == 1.0))
   }
 
-  test("transform adds features vector and double label") {
+  test("transform adds only features and leaves label as it is") {
     val out = enc.transform(df)
-    assert(out.columns.contains("feat_idx") && out.columns.contains("features"))
-    val first = out.select("features", "label").head()
-    assert(first.getAs[SparseVector](0).size == enc.dim)
-    assert(first.get(1).isInstanceOf[Double])
+    assert(out.columns.toSeq == df.columns.toSeq :+ "features")
+    assert(out.schema("label").dataType == df.schema("label").dataType)
+    assert(out.select("features").head().getAs[SparseVector](0).size == enc.dim)
   }
 
   test("integer-typed categorical columns are stringified consistently") {
     val dfi = Seq((1, "a", 1), (2, "b", 0)).toDF("hour", "x", "label")
     val e = CategoricalEncoder.fit(dfi, Seq("hour", "x"))
     assert(e.dim == 6)
-    val out = e.transform(dfi).select("feat_idx").collect()
-    assert(out.length == 2)
+    val out = active(dfi, e)
+    assert(out.length == 2 && out.forall(_.size == 2))
   }
 
   test("fit is deterministic") {
@@ -86,7 +95,6 @@ class FeaturesSpec extends SparkSpec {
     val train = Seq(("a", 1)).toDF("c", "label")
     val test_ = Seq(("b", 0)).toDF("c", "label")
     val e = CategoricalEncoder.fit(train, Seq("c"))
-    val out = e.transform(test_).select("feat_idx").head().getSeq[Int](0)
-    assert(out.head == 1) // unseen bucket, not a new index
+    assert(active(test_, e) == Seq(Seq(1))) // unseen bucket, not a new index
   }
 }
